@@ -31,9 +31,13 @@
 //! * the emergency campaign records **zero** violations of the cut cap
 //!   inside its window (and none of the steady cap outside it);
 //! * re-running a campaign reproduces its digest byte for byte;
-//! * normalised throughput scaling efficiency
-//!   `(t1/t8) / min(8, cores)` ≥ 0.7 (full mode; raw figures always
-//!   emitted);
+//! * normalised throughput scaling efficiency of random routing
+//!   `(t1/t8) / min(8, cores)` ≥ 0.7 (full mode, hosts with ≥ 2 cores;
+//!   on one core the 1 → 8 worker pair has nothing to parallelise, so
+//!   the report writes `"scaling_efficiency": null` and a
+//!   `"scaling_skipped"` reason instead of a pass). Raw speedups of both
+//!   policies are always emitted; locality's is not gated, because its
+//!   sequential route and verify phases bound it;
 //! * locality routing beats random routing on fleet cache hit rate, and
 //!   its measured words/s uplift is emitted alongside (gated > 1 in
 //!   full mode: hits skip real decompressions, so the host-side work
@@ -426,18 +430,34 @@ fn main() {
 
     // Throughput scaling 1 → 8 workers, normalised by what the host can
     // actually parallelise (raw figures are in the report either way).
+    // One core cannot run two workers at once: the ratio would only
+    // measure overhead, so the gate is skipped with a reason rather than
+    // passed.
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let speedup = rand1.wall_s / rand8.wall_s;
-    let scaling_efficiency = speedup / cores.min(8) as f64;
-    println!(
-        "scaling: {speedup:.2}x speedup on {cores} core(s) -> efficiency {scaling_efficiency:.2}"
-    );
-    if !smoke {
-        assert!(
-            scaling_efficiency >= 0.7,
-            "scaling efficiency {scaling_efficiency:.2} below 0.7 ({speedup:.2}x on {cores} cores)"
-        );
-    }
+    let locality_speedup = loc1.wall_s / loc8.wall_s;
+    let scaling_skipped =
+        (cores < 2).then(|| format!("{cores} core: 1 -> 8 workers cannot run in parallel"));
+    let scaling_efficiency = match &scaling_skipped {
+        None => {
+            let efficiency = speedup / cores.min(8) as f64;
+            println!(
+                "scaling: {speedup:.2}x speedup on {cores} cores -> efficiency {efficiency:.2}"
+            );
+            if !smoke {
+                assert!(
+                    efficiency >= 0.7,
+                    "scaling efficiency {efficiency:.2} below 0.7 ({speedup:.2}x on {cores} cores)"
+                );
+            }
+            Value::fixed(efficiency, 3)
+        }
+        Some(reason) => {
+            println!("scaling: {speedup:.2}x speedup, gate skipped ({reason})");
+            Value::Null
+        }
+    };
+    println!("scaling: locality {locality_speedup:.2}x speedup (not gated)");
 
     // Locality uplift vs random at the same worker count.
     let hit_uplift = loc8.outcome.hit_rate - rand8.outcome.hit_rate;
@@ -551,7 +571,7 @@ fn main() {
         write_trace(&chaos_fleet, &chaos_spec, &cells[1].1, path);
     }
 
-    let report = JsonReport::new("uparc-bench-fleet", 2)
+    let report = JsonReport::new("uparc-bench-fleet", 3)
         .field("smoke", smoke)
         .field(
             "fleet",
@@ -592,7 +612,12 @@ fn main() {
                 .field("render_identical_locality", true)
                 .field("cap_violations_total", 0u64)
                 .field("speedup_1_to_8", Value::fixed(speedup, 3))
-                .field("scaling_efficiency", Value::fixed(scaling_efficiency, 3))
+                .field("scaling_efficiency", scaling_efficiency)
+                .field(
+                    "scaling_skipped",
+                    scaling_skipped.map_or(Value::Null, Value::Str),
+                )
+                .field("locality_speedup_1_to_8", Value::fixed(locality_speedup, 3))
                 .field("hit_rate_locality", Value::fixed(loc8.outcome.hit_rate, 6))
                 .field("hit_rate_random", Value::fixed(rand8.outcome.hit_rate, 6))
                 .field("wall_words_per_sec_uplift", Value::fixed(words_uplift, 3))

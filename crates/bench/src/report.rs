@@ -20,6 +20,9 @@ use std::fmt::Write as _;
 /// A JSON value with insertion-ordered object keys.
 #[derive(Debug, Clone)]
 pub enum Value {
+    /// `null`: a field whose measurement does not apply (the report says
+    /// why in a sibling field).
+    Null,
     /// `true` / `false`.
     Bool(bool),
     /// A number, preformatted by the caller (see [`Value::fixed`]).
@@ -45,6 +48,7 @@ impl Value {
 
     fn render_into(&self, out: &mut String, indent: usize) {
         match self {
+            Value::Null => out.push_str("null"),
             Value::Bool(b) => {
                 let _ = write!(out, "{b}");
             }

@@ -4,10 +4,17 @@
 //! pick the fastest operating point the chip's epoch cap admits (from
 //! the calibrated [`PlanTables`]), run the host-side staging work for
 //! real — a miss in the chip's [`DecompCache`] decompresses the staged
-//! payload with the actual codec, a hit streams the cached image — and
+//! payload with the actual codec, a hit reuses the cached image — and
 //! advance simulated time by the *measured* dispatch latency. Chips
 //! share nothing, so the fleet can fan them out across the worker pool
 //! and still merge byte-identical results in chip order.
+//!
+//! The checksum witness costs a hit nothing: every image is folded once
+//! when [`PlanTables`] is built, and a chip XORs that recorded fold per
+//! staging. What is *checked* is the real work — every miss folds the
+//! bytes its codec just produced and asserts they match the setup-time
+//! fold, so a wrong decode panics instead of passing silently; debug
+//! builds also refold the cached image on every hit.
 //!
 //! Under a chaos campaign the loop grows failure paths: dispatches that
 //! start inside an ICAP-wedge or elevated-SEU window (or draw an ambient
@@ -122,8 +129,11 @@ pub struct ChipOutcome {
     /// `(start_fs, end_fs, above_idle_draw_mw)` per transfer segment, for
     /// the fleet's independent rack-cap verification sweep.
     pub intervals: Vec<(u64, u64, f64)>,
-    /// Fold of every served image's bytes — forces the staging work to
-    /// really happen and pins byte-identity across worker counts.
+    /// XOR of [`fold_image`] over the decompressed image of every
+    /// compressed-staged dispatch the chip started (served, failed, or
+    /// cut short by the chip's death), taken from the setup-time fold.
+    /// Pins byte-identity across worker counts; every miss has checked
+    /// its fresh decode against the same fold.
     pub checksum: u64,
     /// Stream indices of requests served to completion, ascending.
     pub served: Vec<u64>,
@@ -144,8 +154,10 @@ pub struct ChipOutcome {
     pub recovery_extra_energy_uj: f64,
 }
 
-/// FNV-style 8-bytes-per-round fold over an image.
-fn fold_image(bytes: &[u8]) -> u64 {
+/// FNV-style 8-bytes-per-round fold over an image: the checksum
+/// witness of one staged image.
+#[must_use]
+pub fn fold_image(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut chunks = bytes.chunks_exact(8);
@@ -203,7 +215,8 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
     let mut clock = SimTime::ZERO;
     for q in &input.requests {
         let req = &q.req;
-        let facts = tables.facts(req.bitstream);
+        let plan = tables.plan(req.bitstream);
+        let facts = plan.facts;
         let mut start = clock.max(q.ready).max(req.arrival);
         // A chip dead before the dispatch starts spills the request back
         // to the fleet untouched.
@@ -228,7 +241,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
         // window [start, start + slowest] — widened past the watchdog
         // and a retry when the dispatch will wedge, so the recovery
         // detour too is planned under the tightest cap it can cross.
-        let slowest = tables.slowest_service(req.bitstream);
+        let slowest = plan.slowest_service();
         let mut window = slowest;
         if faulted {
             // Up to max_attempts re-dispatches plus one watchdog wait.
@@ -251,7 +264,7 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             if start < bt && start + window > bf {
                 let slashed =
                     calib::V6_IDLE_MW + (cap - calib::V6_IDLE_MW) * env.plan.brownout_factor();
-                if tables.select(req.bitstream, slashed).is_none() {
+                if plan.select(slashed).is_none() {
                     // Even the slowest point no longer fits: wait the
                     // brownout out and re-plan at the normal cap.
                     start = start.max(bt);
@@ -274,32 +287,32 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
                 }
             }
         }
-        let idx = tables
-            .select(req.bitstream, cap)
-            .expect("epoch caps always fund the floor");
+        let idx = plan.select(cap).expect("epoch caps always fund the floor");
         // Host-side staging: the real work locality routing saves.
         if let Some(key) = &facts.key {
-            let image = match cache.get(key) {
+            match cache.get(key) {
                 Some(image) => {
                     out.hits += 1;
-                    image
+                    debug_assert_eq!(fold_image(&image), facts.image_fold, "cached image changed");
                 }
                 None => {
                     out.misses += 1;
                     let entry = catalog.entry(req.bitstream).expect("calibrated id");
                     let packed = entry.packed_bytes().expect("compressed staging");
-                    let image = Arc::new(
-                        codec
-                            .decompress(packed)
-                            .expect("staged payload round-trips"),
+                    let image = codec
+                        .decompress(packed)
+                        .expect("staged payload round-trips");
+                    assert_eq!(
+                        fold_image(&image),
+                        facts.image_fold,
+                        "decode of {:?} diverged from its setup-time image",
+                        req.bitstream
                     );
                     out.decompressed_bytes += image.len() as u64;
-                    cache.insert(*key, Arc::clone(&image));
-                    image
+                    cache.insert(*key, Arc::new(image));
                 }
-            };
-            // Stream the image (cached or fresh) into the ICAP.
-            out.checksum ^= fold_image(&image);
+            }
+            out.checksum ^= facts.image_fold;
         }
         let (finish, failed) = if faulted {
             dispatch_faulted(
@@ -307,21 +320,18 @@ pub fn simulate_chip(input: &ChipInput, env: &ChipEnv<'_>) -> ChipOutcome {
             )
         } else {
             // The calibrated fast path.
-            let service = tables.service(req.bitstream, idx);
+            let service = plan.service(idx);
             let finish = start + service;
             let end_fs = loss_fs.map_or(finish.as_fs(), |l| finish.as_fs().min(l));
             if end_fs > start.as_fs() {
-                out.intervals.push((
-                    start.as_fs(),
-                    end_fs,
-                    tables.draw_above_idle_mw(req.bitstream, idx),
-                ));
+                out.intervals
+                    .push((start.as_fs(), end_fs, plan.draw_above_idle_mw(idx)));
             }
             if end_fs == finish.as_fs() {
-                out.energy_uj += tables.energy_uj(req.bitstream, idx);
+                out.energy_uj += plan.energy_uj(idx);
             } else {
                 // Clipped by the chip's death: only the partial draw.
-                out.energy_uj += tables.draw_above_idle_mw(req.bitstream, idx)
+                out.energy_uj += plan.draw_above_idle_mw(idx)
                     * SimTime::from_fs(end_fs - start.as_fs()).as_secs_f64()
                     * 1e3;
             }

@@ -43,6 +43,10 @@ use crate::FleetError;
 /// Tolerance when checking total draw against the rack cap, mW.
 const CAP_EPSILON_MW: f64 = 1e-9;
 
+/// Events per window of the rack-cap sweep: a batch this size (16 bytes
+/// an event) sorts inside a core's private cache.
+const VERIFY_WINDOW_EVENTS: usize = 1 << 14;
+
 /// Fleet shape and policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
@@ -170,7 +174,12 @@ pub struct FleetOutcome {
     pub min_chip_completed: u64,
     /// Most requests any one chip served.
     pub max_chip_completed: u64,
-    /// XOR-fold of every served image (byte-identity witness).
+    /// XOR over chips of [`ChipOutcome::checksum`]: the fold of every
+    /// staged image, taken from the setup-time fold in `PlanTables`
+    /// (byte-identity witness across worker counts). On a quiet run it
+    /// equals the XOR over served requests of `fold_image` of the
+    /// decompressed payload; every cache miss has checked its fresh
+    /// decode against that fold.
     pub checksum: u64,
     /// Requests shed, by reason.
     pub shed: ShedCounts,
@@ -284,61 +293,135 @@ impl FleetOutcome {
 /// drew — idle base included, with a dead chip's idle removed at its
 /// death instant — against the cap *timeline*, so neither a budgeting
 /// bug nor an emergency mis-decomposition can hide its own violations.
+///
+/// Events are keyed `time_fs · 2 + phase`: ends (phase 0) apply before
+/// starts (phase 1) at the same instant, so back-to-back transfers don't
+/// double-count at the boundary. A chip dispatches one transfer at a
+/// time, so its start/end events already ascend (asserted as they are
+/// read). The sweep therefore never materialises or sorts the whole
+/// event list: it walks the key range in windows of about
+/// `window_events` events, takes each chip's next slice below
+/// the window's end with a per-chip cursor, and stable-sorts only that
+/// cache-sized batch. Events sharing a key apply in chip order, then
+/// deaths, then emergency edges, and the cap is sampled after the last
+/// of them.
 fn verify_rack(
     outcomes: &[ChipOutcome],
     chips: usize,
     timeline: &CapTimeline,
     emergencies: &[EmergencyWindow],
     loss_at: &[Option<SimTime>],
+    window_events: usize,
 ) -> (f64, u64, u64) {
-    // (time_fs, phase, delta): ends (phase 0) apply before starts
-    // (phase 1) at the same instant, so back-to-back transfers don't
-    // double-count at the boundary.
-    let mut events: Vec<(u64, u8, f64)> = Vec::new();
-    for o in outcomes {
-        for &(start, end, draw) in &o.intervals {
-            events.push((start, 1, draw));
-            events.push((end, 0, -draw));
-        }
-    }
-    for loss in loss_at.iter().flatten() {
-        // A dead chip stops drawing even its idle floor.
-        events.push((loss.as_fs(), 0, -calib::V6_IDLE_MW));
-    }
+    let key = |fs: u64, phase: u64| {
+        fs.checked_mul(2)
+            .expect("simulated time fits the event key")
+            | phase
+    };
+    // Event `k` of a chip: its intervals alternate start, end.
+    let chip_event = |o: &ChipOutcome, k: usize| {
+        o.intervals.get(k / 2).map(|&(start, end, draw)| {
+            if k.is_multiple_of(2) {
+                (key(start, 1), draw)
+            } else {
+                (key(end, 0), -draw)
+            }
+        })
+    };
+    // A dead chip stops drawing even its idle floor.
+    let mut deaths: Vec<(u64, f64)> = loss_at
+        .iter()
+        .flatten()
+        .map(|loss| (key(loss.as_fs(), 0), -calib::V6_IDLE_MW))
+        .collect();
+    deaths.sort_by_key(|e| e.0);
     // Synthetic zero-draw samplers at every emergency edge: the cap must
     // hold there even if no transfer event lands on the boundary.
-    for w in emergencies {
-        events.push((w.from.as_fs(), 1, 0.0));
-        events.push((w.to.as_fs(), 1, 0.0));
-    }
-    events.sort_unstable_by_key(|a| (a.0, a.1));
+    let mut edges: Vec<(u64, f64)> = emergencies
+        .iter()
+        .flat_map(|w| [(key(w.from.as_fs(), 1), 0.0), (key(w.to.as_fs(), 1), 0.0)])
+        .collect();
+    edges.sort_by_key(|e| e.0);
+
+    let total: usize = outcomes
+        .iter()
+        .map(|o| 2 * o.intervals.len())
+        .sum::<usize>()
+        + deaths.len()
+        + edges.len();
+    let last = outcomes
+        .iter()
+        .filter_map(|o| o.intervals.last().map(|&(_, end, _)| key(end, 0)))
+        .chain(deaths.last().map(|e| e.0))
+        .chain(edges.last().map(|e| e.0))
+        .max();
     let base = chips as f64 * calib::V6_IDLE_MW;
+    let Some(last) = last else {
+        return (base, 0, 0);
+    };
+    let width = last / (total / window_events.max(1)).max(1) as u64 + 1;
+
+    let mut cursor = vec![0usize; outcomes.len()];
+    let (mut next_death, mut next_edge) = (0usize, 0usize);
+    let mut batch: Vec<(u64, f64)> = Vec::new();
     let mut current = base;
     let mut peak = base;
     let mut violations = 0u64;
     let mut emergency_violations = 0u64;
-    let mut i = 0;
-    while i < events.len() {
-        // Apply every event at this (instant, phase) before sampling.
-        let key = (events[i].0, events[i].1);
-        while i < events.len() && (events[i].0, events[i].1) == key {
-            current += events[i].2;
-            i += 1;
+    let mut lo = 0;
+    while lo <= last {
+        let hi = lo.saturating_add(width);
+        batch.clear();
+        for (o, k) in outcomes.iter().zip(&mut cursor) {
+            let mut prev = lo;
+            while let Some(e) = chip_event(o, *k).filter(|e| e.0 < hi) {
+                assert!(e.0 >= prev, "chip {} intervals out of time order", o.chip);
+                prev = e.0;
+                batch.push(e);
+                *k += 1;
+            }
         }
-        if current > peak {
-            peak = current;
+        for (run, next) in [(&deaths, &mut next_death), (&edges, &mut next_edge)] {
+            while let Some(&e) = run.get(*next).filter(|e| e.0 < hi) {
+                batch.push(e);
+                *next += 1;
+            }
         }
-        if key.1 == 1 {
-            let cap = timeline.cap_at(key.0);
-            if current > cap + CAP_EPSILON_MW {
-                if emergencies.iter().any(|w| w.contains(key.0)) {
-                    emergency_violations += 1;
-                } else {
-                    violations += 1;
+        batch.sort_by_key(|e| e.0);
+        let mut i = 0;
+        while i < batch.len() {
+            // Apply every event at this key before sampling.
+            let at = batch[i].0;
+            while i < batch.len() && batch[i].0 == at {
+                current += batch[i].1;
+                i += 1;
+            }
+            if current > peak {
+                peak = current;
+            }
+            if at & 1 == 1 {
+                let fs = at >> 1;
+                let cap = timeline.cap_at(fs);
+                if current > cap + CAP_EPSILON_MW {
+                    if emergencies.iter().any(|w| w.contains(fs)) {
+                        emergency_violations += 1;
+                    } else {
+                        violations += 1;
+                    }
                 }
             }
         }
+        lo = hi;
     }
+    // An event a chip listed after a later one would sit past `last` or
+    // behind a window already swept; either way it was never read.
+    assert!(
+        outcomes
+            .iter()
+            .zip(&cursor)
+            .all(|(o, &k)| k == 2 * o.intervals.len()),
+        "chip intervals out of time order"
+    );
     (peak, violations, emergency_violations)
 }
 
@@ -518,14 +601,19 @@ impl Fleet {
         let mut failovers = 0u64;
         let est_fs = self.tables.mean_service_estimate().as_fs().max(1);
         while !pending.is_empty() {
+            // Lend each queue to its input and take it back after the
+            // fan-out: later rounds still edit `queues`.
             let inputs: Vec<ChipInput> = pending
                 .iter()
                 .map(|&chip| ChipInput {
                     chip,
-                    requests: queues[chip].clone(),
+                    requests: std::mem::take(&mut queues[chip]),
                 })
                 .collect();
             let fresh = parallel_map(&inputs, |input| simulate_chip(input, &env));
+            for input in inputs {
+                queues[input.chip] = input.requests;
+            }
             // Collect this round's orphans in chip order, then strike
             // them from their queues so a later re-simulation of the
             // same chip cannot orphan them twice.
@@ -583,8 +671,14 @@ impl Fleet {
 
         // Phase 4 — independent rack-cap verification against the
         // emergency timeline and the surviving idle base.
-        let (peak_power_mw, cap_violations, cap_violations_emergency) =
-            verify_rack(&outcomes, chips, &timeline, plan.emergencies(), &loss_at);
+        let (peak_power_mw, cap_violations, cap_violations_emergency) = verify_rack(
+            &outcomes,
+            chips,
+            &timeline,
+            plan.emergencies(),
+            &loss_at,
+            VERIFY_WINDOW_EVENTS,
+        );
 
         // Phase 5 — merge (chip order, deterministic) + accounting.
         let mut latency_us = LogHistogram::new();
@@ -752,4 +846,180 @@ pub fn synthetic_catalog(images: usize, frames_per_image: u32, seed: u64) -> Cat
         .register_batch(batch)
         .expect("synthetic batch registers");
     catalog
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::splitmix64;
+
+    /// The original verifier: every event in one vector, sorted by
+    /// `(instant, phase)` with an unstable sort, then swept. Kept as the
+    /// oracle the run-merging sweep must agree with.
+    fn verify_rack_by_sort(
+        outcomes: &[ChipOutcome],
+        chips: usize,
+        timeline: &CapTimeline,
+        emergencies: &[EmergencyWindow],
+        loss_at: &[Option<SimTime>],
+    ) -> (f64, u64, u64) {
+        let mut events: Vec<(u64, u8, f64)> = Vec::new();
+        for o in outcomes {
+            for &(start, end, draw) in &o.intervals {
+                events.push((start, 1, draw));
+                events.push((end, 0, -draw));
+            }
+        }
+        for loss in loss_at.iter().flatten() {
+            events.push((loss.as_fs(), 0, -calib::V6_IDLE_MW));
+        }
+        for w in emergencies {
+            events.push((w.from.as_fs(), 1, 0.0));
+            events.push((w.to.as_fs(), 1, 0.0));
+        }
+        events.sort_unstable_by_key(|a| (a.0, a.1));
+        let base = chips as f64 * calib::V6_IDLE_MW;
+        let mut current = base;
+        let mut peak = base;
+        let mut violations = 0u64;
+        let mut emergency_violations = 0u64;
+        let mut i = 0;
+        while i < events.len() {
+            let key = (events[i].0, events[i].1);
+            while i < events.len() && (events[i].0, events[i].1) == key {
+                current += events[i].2;
+                i += 1;
+            }
+            if current > peak {
+                peak = current;
+            }
+            if key.1 == 1 {
+                let cap = timeline.cap_at(key.0);
+                if current > cap + CAP_EPSILON_MW {
+                    if emergencies.iter().any(|w| w.contains(key.0)) {
+                        emergency_violations += 1;
+                    } else {
+                        violations += 1;
+                    }
+                }
+            }
+        }
+        (peak, violations, emergency_violations)
+    }
+
+    fn outcome(chip: usize, intervals: Vec<(u64, u64, f64)>) -> ChipOutcome {
+        ChipOutcome {
+            chip,
+            completed: 0,
+            completed_failover: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            decompressed_bytes: 0,
+            words: 0,
+            energy_uj: 0.0,
+            busy: SimTime::ZERO,
+            finish: SimTime::ZERO,
+            latency_us: LogHistogram::new(),
+            degraded_latency_us: LogHistogram::new(),
+            freq_mix: Vec::new(),
+            intervals,
+            checksum: 0,
+            served: Vec::new(),
+            failed: Vec::new(),
+            orphans: Vec::new(),
+            faulted: 0,
+            healed: 0,
+            faults_applied: 0,
+            recovery_extra_time: SimTime::ZERO,
+            recovery_extra_energy_uj: 0.0,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn overlapping_chip_intervals_are_refused() {
+        // Two transfers in flight at once on one chip break the ordered
+        // runs the sweep relies on; it must say so, not miscount.
+        let grid = 1_000_000u64;
+        let chip = outcome(0, vec![(0, 5 * grid, 1.0), (2 * grid, 3 * grid, 1.0)]);
+        let timeline = CapTimeline::with_emergencies(1e9, &[]);
+        let _ = verify_rack(&[chip], 1, &timeline, &[], &[None], 1);
+    }
+
+    #[test]
+    fn run_merging_sweep_matches_the_sorting_oracle() {
+        let mut s = 0x5eed_u64;
+        let mut draw = |m: u64| {
+            s = splitmix64(s);
+            s % m
+        };
+        let mut saw = [0u64; 2];
+        for case in 0..300 {
+            let chips = 1 + draw(12) as usize;
+            // A coarse time grid (units of 1 µs over 40 µs) makes starts,
+            // ends, deaths and emergency edges coincide often. Draws are
+            // multiples of 1/8 mW, so every summation order is exact and
+            // the peaks must agree bit for bit.
+            let grid = 1_000_000_000u64;
+            let outcomes: Vec<ChipOutcome> = (0..chips)
+                .map(|chip| {
+                    // Some chips never dispatch.
+                    let mut t = if draw(6) == 0 { 40 } else { draw(4) };
+                    let mut intervals = Vec::new();
+                    while t < 40 {
+                        let end = t + 1 + draw(3);
+                        intervals.push((t * grid, end * grid, (1 + draw(400)) as f64 / 8.0));
+                        // Back-to-back or gapped, never overlapping.
+                        t = end + draw(3);
+                    }
+                    outcome(chip, intervals)
+                })
+                .collect();
+            let loss_at: Vec<Option<SimTime>> = (0..chips)
+                .map(|_| (draw(4) == 0).then(|| SimTime::from_fs(draw(41) * grid)))
+                .collect();
+            let emergencies: Vec<EmergencyWindow> = (0..draw(3))
+                .map(|_| {
+                    let from = draw(40);
+                    EmergencyWindow {
+                        from: SimTime::from_fs(from * grid),
+                        to: SimTime::from_fs((from + 1 + draw(10)) * grid),
+                        cap_mw: chips as f64 * calib::V6_IDLE_MW + draw(60) as f64,
+                    }
+                })
+                .collect();
+            let cap = chips as f64 * calib::V6_IDLE_MW + (draw(80) as f64) / 2.0;
+            let timeline = CapTimeline::with_emergencies(cap, &emergencies);
+            let want = verify_rack_by_sort(&outcomes, chips, &timeline, &emergencies, &loss_at);
+            // Windows from a handful of events (many windows, ties split
+            // across none of them) to the whole set in one batch.
+            for window in [1, 3, 16, 1 << 14] {
+                let got = verify_rack(&outcomes, chips, &timeline, &emergencies, &loss_at, window);
+                assert_eq!(
+                    got.0.to_bits(),
+                    want.0.to_bits(),
+                    "case {case}/{window}: peak"
+                );
+                assert_eq!(
+                    (got.1, got.2),
+                    (want.1, want.2),
+                    "case {case}/{window}: violations"
+                );
+            }
+            saw[0] += want.1;
+            saw[1] += want.2;
+        }
+        // Nothing drawn at all: the idle base is the peak.
+        let idle = vec![outcome(0, Vec::new()), outcome(1, Vec::new())];
+        let timeline = CapTimeline::with_emergencies(1e9, &[]);
+        assert_eq!(
+            verify_rack(&idle, 2, &timeline, &[], &[None, None], 16),
+            (2.0 * calib::V6_IDLE_MW, 0, 0)
+        );
+        assert!(
+            saw[0] > 0 && saw[1] > 0,
+            "the cases must exercise both violation kinds"
+        );
+    }
 }

@@ -61,6 +61,7 @@ pub mod chaos;
 pub mod chip;
 pub mod fleet;
 pub mod health;
+mod mintree;
 pub mod plan;
 pub mod router;
 pub mod workload;

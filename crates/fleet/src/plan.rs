@@ -10,6 +10,10 @@
 //! preload + transfer), not predicted. Selecting an operating point for
 //! a request is then a binary search over the power table — and a test
 //! pins the selection against `plan_constrained` for the same query.
+//!
+//! Per-entry facts sit in a dense vector: the chip loop resolves a
+//! request's facts and group tables with one id lookup and reads every
+//! table it needs through that resolved view.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -23,6 +27,7 @@ use uparc_serve::request::BitstreamId;
 use uparc_sim::power::{calib, VfTable};
 use uparc_sim::time::{Frequency, SimTime};
 
+use crate::chip::fold_image;
 use crate::FleetError;
 
 /// Per-entry dispatch facts (precomputed so the hot loop never hashes or
@@ -39,6 +44,49 @@ pub struct EntryFacts {
     /// Transfer size in 32-bit words (mode word included), for
     /// throughput accounting.
     pub words: u64,
+    /// [`fold_image`] of the decompressed image, taken once at setup
+    /// (compressed staging only; 0 for raw staging, which folds
+    /// nothing). Chips XOR it into their checksum on every staging and
+    /// check every real decode against it.
+    pub image_fold: u64,
+}
+
+/// One entry's facts resolved against its group's tables — everything a
+/// dispatch reads, found with a single id lookup.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EntryPlan<'a> {
+    pub(crate) facts: &'a EntryFacts,
+    group: &'a GroupTable,
+    power_mw: &'a [f64],
+}
+
+impl EntryPlan<'_> {
+    /// See [`PlanTables::select`].
+    pub(crate) fn select(&self, cap_mw: f64) -> Option<usize> {
+        let g = self.group;
+        let fit = self.power_mw[..g.admissible].partition_point(|&p| p + g.extra_draw_mw <= cap_mw);
+        fit.checked_sub(1)
+    }
+
+    /// See [`PlanTables::service`].
+    pub(crate) fn service(&self, idx: usize) -> SimTime {
+        self.group.service[idx]
+    }
+
+    /// See [`PlanTables::slowest_service`].
+    pub(crate) fn slowest_service(&self) -> SimTime {
+        self.group.service[0]
+    }
+
+    /// See [`PlanTables::energy_uj`].
+    pub(crate) fn energy_uj(&self, idx: usize) -> f64 {
+        self.group.energy_uj[idx]
+    }
+
+    /// See [`PlanTables::draw_above_idle_mw`].
+    pub(crate) fn draw_above_idle_mw(&self, idx: usize) -> f64 {
+        self.power_mw[idx] - calib::V6_IDLE_MW + self.group.extra_draw_mw
+    }
 }
 
 /// Calibrated tables for one bitstream shape.
@@ -75,7 +123,9 @@ pub struct PlanTables {
     /// index — strictly ascending, so cap admission is a binary search.
     power_mw: Vec<f64>,
     groups: Vec<GroupTable>,
-    entries: BTreeMap<u32, EntryFacts>,
+    /// Calibrated ids, ascending; `entries[i]` belongs to `ids[i]`.
+    ids: Vec<u32>,
+    entries: Vec<EntryFacts>,
 }
 
 impl PlanTables {
@@ -159,7 +209,8 @@ impl PlanTables {
             volts,
             power_mw,
             groups: Vec::new(),
-            entries: BTreeMap::new(),
+            ids: Vec::new(),
+            entries: Vec::new(),
         };
         let mut group_of: BTreeMap<(usize, bool), usize> = BTreeMap::new();
         for id in catalog.ids() {
@@ -225,26 +276,32 @@ impl PlanTables {
                     g
                 }
             };
-            let (key, image_bytes) = match entry.packed_bytes() {
+            let (key, image_bytes, image_fold) = match entry.packed_bytes() {
                 Some(packed) => {
                     let image = catalog
                         .algorithm()
                         .codec()
                         .decompress(packed)
                         .expect("staged payload round-trips");
-                    (Some(CacheKey::of(codec, packed)), image.len())
+                    (
+                        Some(CacheKey::of(codec, packed)),
+                        image.len(),
+                        fold_image(&image),
+                    )
                 }
-                None => (None, entry.raw_bytes()),
+                None => (None, entry.raw_bytes(), 0),
             };
-            tables.entries.insert(
-                id.0,
-                EntryFacts {
-                    group,
-                    key,
-                    image_bytes,
-                    words: (entry.raw_bytes() as u64).div_ceil(4) + 1,
-                },
-            );
+            // `Catalog::ids` lists ids ascending, so pushing keeps `ids`
+            // sorted for `index_of`'s binary search.
+            debug_assert!(tables.ids.last().is_none_or(|&last| last < id.0));
+            tables.ids.push(id.0);
+            tables.entries.push(EntryFacts {
+                group,
+                key,
+                image_bytes,
+                words: (entry.raw_bytes() as u64).div_ceil(4) + 1,
+                image_fold,
+            });
         }
         Ok(tables)
     }
@@ -255,6 +312,27 @@ impl PlanTables {
         &self.grid
     }
 
+    /// Slot of `id` in `entries`. Catalogs usually number their entries
+    /// densely, so the offset from the first id is tried before the
+    /// binary search; neither costs memory in proportion to the ids.
+    fn index_of(&self, id: BitstreamId) -> usize {
+        let guess = id.0.wrapping_sub(self.ids[0]) as usize;
+        if self.ids.get(guess) == Some(&id.0) {
+            return guess;
+        }
+        self.ids.binary_search(&id.0).expect("id was calibrated")
+    }
+
+    /// `id`'s facts resolved against its group's tables.
+    pub(crate) fn plan(&self, id: BitstreamId) -> EntryPlan<'_> {
+        let facts = &self.entries[self.index_of(id)];
+        EntryPlan {
+            facts,
+            group: &self.groups[facts.group],
+            power_mw: &self.power_mw,
+        }
+    }
+
     /// Precomputed dispatch facts for `id`.
     ///
     /// # Panics
@@ -262,7 +340,7 @@ impl PlanTables {
     /// Panics for an id the tables were not built over.
     #[must_use]
     pub fn facts(&self, id: BitstreamId) -> &EntryFacts {
-        self.entries.get(&id.0).expect("id was calibrated")
+        &self.entries[self.index_of(id)]
     }
 
     /// Fastest admissible grid index for `id` under a total-power cap of
@@ -270,36 +348,33 @@ impl PlanTables {
     /// the slowest point exceeds the cap.
     #[must_use]
     pub fn select(&self, id: BitstreamId, cap_mw: f64) -> Option<usize> {
-        let g = &self.groups[self.facts(id).group];
-        let fit = self.power_mw[..g.admissible].partition_point(|&p| p + g.extra_draw_mw <= cap_mw);
-        fit.checked_sub(1)
+        self.plan(id).select(cap_mw)
     }
 
     /// Measured Start→Finish latency of `id` at grid index `idx`.
     #[must_use]
     pub fn service(&self, id: BitstreamId, idx: usize) -> SimTime {
-        self.groups[self.facts(id).group].service[idx]
+        self.plan(id).service(idx)
     }
 
     /// The slowest admissible point's latency for `id` — the
     /// conservative window dispatch planning spans epoch caps with.
     #[must_use]
     pub fn slowest_service(&self, id: BitstreamId) -> SimTime {
-        self.groups[self.facts(id).group].service[0]
+        self.plan(id).slowest_service()
     }
 
     /// Above-idle energy of one dispatch of `id` at grid index `idx`, µJ.
     #[must_use]
     pub fn energy_uj(&self, id: BitstreamId, idx: usize) -> f64 {
-        self.groups[self.facts(id).group].energy_uj[idx]
+        self.plan(id).energy_uj(idx)
     }
 
     /// Above-idle draw of `id`'s transfer at grid index `idx`, mW
     /// (reconfiguration path plus decompressor).
     #[must_use]
     pub fn draw_above_idle_mw(&self, id: BitstreamId, idx: usize) -> f64 {
-        let g = &self.groups[self.facts(id).group];
-        self.power_mw[idx] - calib::V6_IDLE_MW + g.extra_draw_mw
+        self.plan(id).draw_above_idle_mw(idx)
     }
 
     /// The CLK_2 frequency at grid index `idx`.
@@ -380,6 +455,37 @@ mod tests {
     }
 
     #[test]
+    fn sparse_ids_resolve_and_record_their_image_fold() {
+        use uparc_bitstream::builder::PartialBitstream;
+        use uparc_bitstream::synth::SynthProfile;
+        use uparc_fpga::Device;
+
+        // Ids with gaps and a large outlier: the dense-offset guess
+        // misses, and the binary search must still find every id.
+        let device = Device::xc5vsx50t();
+        let frames = 12;
+        let bram = frames as usize * device.family().frame_bytes() / 2;
+        let mut catalog = Catalog::new(device).with_bram_bytes(bram);
+        catalog.add_region("pool", 100..100 + frames).unwrap();
+        let ids = [3u32, 4, 9, 70_000];
+        for (i, &id) in ids.iter().enumerate() {
+            let payload = SynthProfile::sparse().generate(catalog.device(), 100, frames, i as u64);
+            let bs = PartialBitstream::build(catalog.device(), 100, &payload);
+            catalog.register(BitstreamId(id), bs).unwrap();
+        }
+        let planner = PowerAwarePolicy::paper_setup(catalog.device().family());
+        let tables = PlanTables::build(&catalog, &planner, Frequency::from_mhz(50.0)).unwrap();
+        for &id in &ids {
+            let id = BitstreamId(id);
+            let image = tables.decompress_image(&catalog, id).expect("compressed");
+            let facts = tables.facts(id);
+            assert_eq!(facts.image_bytes, image.len());
+            assert_eq!(facts.image_fold, fold_image(&image));
+            assert!(std::ptr::eq(tables.plan(id).facts, facts));
+        }
+    }
+
+    #[test]
     fn vf_frontier_trades_voltage_for_clock_under_a_tight_cap() {
         let catalog = synthetic_catalog(2, 40, 9);
         let planner = PowerAwarePolicy::paper_setup(catalog.device().family());
@@ -408,7 +514,7 @@ mod tests {
         let fast = dvfs.select(id, cap).expect("cap admits a point");
         assert!(dvfs.frequency(fast) > nominal.frequency(slow));
         assert!(dvfs.volts_at(fast) < calib::V_NOM_V);
-        assert!(dvfs.power_mw[fast] + dvfs.groups[dvfs.facts(id).group].extra_draw_mw <= cap);
+        assert!(dvfs.power_mw[fast] + dvfs.plan(id).group.extra_draw_mw <= cap);
         // Faster point, same image: the dispatch also finishes sooner.
         assert!(dvfs.service(id, fast) < nominal.service(id, slow));
     }

@@ -24,14 +24,14 @@
 //! applied monotonically as routing time advances, so the same request
 //! sequence always sees the same health view.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
 use uparc_serve::request::BitstreamId;
 use uparc_sim::obs::{EventKind, Obs};
 use uparc_sim::time::SimTime;
 
 use crate::health::{ChipState, HealthTimeline};
+use crate::mintree::MinTree;
 use crate::workload::{splitmix64, FleetRequest, GOLDEN};
 
 /// How the fleet assigns requests to chips.
@@ -181,8 +181,9 @@ pub struct Router {
     models: Vec<ModelLru>,
     /// Which chips currently hold each image (ascending chip ids).
     holders: BTreeMap<BitstreamId, Vec<usize>>,
-    /// Lazy min-heap over `(horizon, chip)`; stale entries are skipped.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Tournament tree over `(horizon, chip)`; a leaf is occupied exactly
+    /// while its chip is routable.
+    least: MinTree,
     /// Mean service estimate used to advance horizons, fs.
     est_service_fs: u64,
     stats: RouteStats,
@@ -261,15 +262,16 @@ impl Router {
             .iter()
             .map(|h| h.state_at(0) == ChipState::Down)
             .collect();
+        let mut least = MinTree::new(chips);
+        for c in (0..chips).filter(|&c| routable[c]) {
+            least.set(c, 0);
+        }
         let router = Router {
             policy,
             horizons: vec![0; chips],
             models: (0..chips).map(|_| ModelLru::new(cache_budget)).collect(),
             holders: BTreeMap::new(),
-            heap: (0..chips)
-                .filter(|&c| routable[c])
-                .map(|c| Reverse((0, c)))
-                .collect(),
+            least,
             est_service_fs: est_service.as_fs().max(1),
             stats: RouteStats::default(),
             transitions,
@@ -323,6 +325,7 @@ impl Router {
                 ChipState::Down => {
                     self.down[c] = true;
                     self.routable[c] = false;
+                    self.least.clear(c);
                     // The chip's staged images died with it: strike it
                     // from every holder list and drop its cache model so
                     // the next request for each image elects a new holder
@@ -337,6 +340,7 @@ impl Router {
                 }
                 ChipState::Quarantined => {
                     self.routable[c] = false;
+                    self.least.clear(c);
                     self.obs.instant(
                         SimTime::from_fs(at),
                         EventKind::Quarantine { chip: c as u32 },
@@ -344,31 +348,22 @@ impl Router {
                 }
                 ChipState::Repairing => {
                     self.routable[c] = false;
+                    self.least.clear(c);
                 }
                 ChipState::Healthy | ChipState::Suspect => {
-                    if !self.down[c] && !self.routable[c] {
-                        self.routable[c] = true;
-                        // Re-enter the lazy heap at the current horizon.
-                        self.heap.push(Reverse((self.horizons[c], c)));
-                    } else {
-                        self.routable[c] = true;
-                    }
+                    // `Down` is absorbing: no transition follows it.
+                    debug_assert!(!self.down[c], "chip {c} revived after death");
+                    self.routable[c] = true;
+                    self.least.set(c, self.horizons[c]);
                 }
             }
         }
     }
 
-    /// The least-loaded routable chip by `(horizon, chip id)`; the heap
-    /// is lazy, so stale or non-routable keys are popped until the top
-    /// matches reality. `None` when no chip is routable.
-    fn least_loaded(&mut self) -> Option<(u64, usize)> {
-        loop {
-            let &Reverse((h, c)) = self.heap.peek()?;
-            if self.routable[c] && self.horizons[c] == h {
-                return Some((h, c));
-            }
-            self.heap.pop();
-        }
+    /// The least-loaded routable chip by `(horizon, chip id)`, `None`
+    /// when no chip is routable.
+    fn least_loaded(&self) -> Option<(u64, usize)> {
+        self.least.min()
     }
 
     /// Picks the target chip for `req` (an image of `image_bytes`
@@ -464,7 +459,7 @@ impl Router {
         // Advance the modeled horizon and cache content.
         let start = self.horizons[target].max(ready_fs);
         self.horizons[target] = start + self.est_service_fs;
-        self.heap.push(Reverse((self.horizons[target], target)));
+        self.least.set(target, self.horizons[target]);
         if matches!(self.policy, RoutePolicy::Locality { .. })
             && !self.models[target].touch(req.bitstream)
         {
@@ -701,6 +696,66 @@ mod tests {
                 RouteOutcome::Shed(ShedReason::NoLiveChip)
             );
             assert_eq!(r.stats().shed, 1);
+        }
+    }
+
+    #[test]
+    fn least_loaded_matches_a_brute_force_scan_under_health_churn() {
+        let us = SimTime::from_us;
+        let cfg = HealthConfig {
+            suspect_decay: us(200),
+            quarantine_hold: us(100),
+            repair_time: us(100),
+        };
+        for seed in 0..12u64 {
+            let chips = 1 + (splitmix64(seed) % 17) as usize;
+            // Paired wedges quarantine a chip and later heal it; a few
+            // chips die outright — routability flips both ways.
+            let health: Vec<HealthTimeline> = (0..chips)
+                .map(|c| {
+                    let r = splitmix64(seed.wrapping_mul(GOLDEN) ^ c as u64);
+                    let mut wedges = Vec::new();
+                    let mut at = r % 300;
+                    for _ in 0..r % 5 {
+                        wedges.push((us(at), us(at + 20)));
+                        at += 60 + (r >> 20) % 400;
+                    }
+                    let chaos = ChipChaos {
+                        loss_at: (r >> 60 == 0).then(|| us(500 + (r >> 30) % 2_000)),
+                        wedges,
+                        ..ChipChaos::default()
+                    };
+                    HealthTimeline::build(&chaos, &cfg)
+                })
+                .collect();
+            for policy in [
+                RoutePolicy::Locality {
+                    spill_window: SimTime::from_us(3),
+                },
+                RoutePolicy::Random { seed },
+            ] {
+                let mut r = Router::with_chaos(
+                    chips,
+                    policy,
+                    4096,
+                    SimTime::from_us(2),
+                    health.clone(),
+                    None,
+                    Obs::null(),
+                );
+                for i in 0..400u64 {
+                    let draw = splitmix64(seed ^ i.wrapping_mul(GOLDEN));
+                    // Coarse arrivals: many equal horizons, so the chip-id
+                    // tie-break is exercised.
+                    let q = req(i, i * 8_000, (draw % 7) as u32);
+                    let _ = r.try_route(&q, q.arrival, 1024);
+                    let brute = (0..chips)
+                        .filter(|&c| r.routable(c))
+                        .map(|c| (r.horizons[c], c))
+                        .min();
+                    assert_eq!(r.least_loaded(), brute, "seed {seed} request {i}");
+                }
+            }
         }
     }
 

@@ -95,7 +95,7 @@ pub struct ServiceMetrics {
     pub cap_violations: u64,
     /// Requests still queued when the run drained.
     pub unserved: usize,
-    /// Time of the last event in the run.
+    /// When the run's last arrival or completion happened.
     pub makespan: SimTime,
     /// Dispatches the thermal governor demoted to a cooler operating
     /// point (zero when the thermal layer is off).

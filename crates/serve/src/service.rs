@@ -266,6 +266,8 @@ impl Service {
             throttle_state: vec![false; region_count],
             current_f: vec![None; region_count],
             rails: vec![self.planner.vf_table().nominal_index(); region_count],
+            cool_wake: vec![None; region_count],
+            last_activity: SimTime::ZERO,
             metrics: ServiceMetrics::default(),
             obs: self.config.obs.clone(),
         };
@@ -274,13 +276,12 @@ impl Service {
             engine.schedule(r.arrival, id, Ev::Arrive(i));
         }
         engine.run();
-        let makespan = engine.now();
         let boxed: Box<dyn Any> = engine.despawn(id);
         let proc = boxed
             .downcast::<ServeProcess>()
             .expect("despawned the process we spawned");
         let mut metrics = proc.metrics;
-        metrics.makespan = makespan;
+        metrics.makespan = proc.last_activity;
         metrics.unserved = proc.queues.iter().map(VecDeque::len).sum();
         metrics
     }
@@ -293,6 +294,9 @@ enum Ev {
     Arrive(usize),
     /// Lane `lane` finished its dispatch.
     Done { lane: usize },
+    /// Lane `lane` has cooled below the throttle-release threshold, so
+    /// the thermal governor may now admit work it refused while hot.
+    Cooled { lane: usize },
 }
 
 /// The single event-engine process driving all lanes.
@@ -325,6 +329,12 @@ struct ServeProcess {
     current_f: Vec<Option<Frequency>>,
     /// The rail each lane's core supply currently sits on.
     rails: Vec<usize>,
+    /// A pending [`Ev::Cooled`] per lane, so a lane refused again before
+    /// it cools does not stack duplicate wake-ups.
+    cool_wake: Vec<Option<SimTime>>,
+    /// When the last arrival or completion was handled: the makespan. A
+    /// wake-up that finds nothing to do does not extend the run.
+    last_activity: SimTime,
     metrics: ServiceMetrics,
     /// Scheduler-level observability (admission verdicts, cap samples);
     /// lanes carry their own region-tagged copies.
@@ -336,6 +346,7 @@ impl Process<Ev> for ServeProcess {
         match event {
             Ev::Arrive(i) => {
                 let now = ctx.now();
+                self.last_activity = now;
                 match self.admit(i, now) {
                     Ok(queued) => {
                         self.obs.instant(
@@ -366,9 +377,11 @@ impl Process<Ev> for ServeProcess {
                 }
             }
             Ev::Done { lane } => {
+                self.last_activity = ctx.now();
                 self.busy[lane] = None;
                 self.sample_power(ctx.now());
             }
+            Ev::Cooled { lane } => self.cool_wake[lane] = None,
         }
         self.dispatch_idle_lanes(ctx);
     }
@@ -479,12 +492,36 @@ impl ServeProcess {
             }
             let now = ctx.now();
             let order = candidate_order(self.policy, &self.queues[lane], now);
+            let mut dispatched = false;
             for pos in order {
                 if let Some((plan, throttled, temp_c)) = self.plan_for(lane, pos, now) {
                     self.dispatch(ctx, lane, pos, plan, throttled, temp_c);
+                    dispatched = true;
                     break;
                 }
             }
+            if !dispatched {
+                self.wake_when_cool(ctx, lane, now);
+            }
+        }
+    }
+
+    /// Schedules an [`Ev::Cooled`] for an idle `lane` whose queue the
+    /// planner just refused. Only an arrival or a completion re-plans a
+    /// lane; if neither follows, work refused while the lane was hot
+    /// would strand even after it cools. Cooling below the release
+    /// threshold lifts the throttle, so that instant gets a wake-up of
+    /// its own. A lane already below it gains nothing from waiting.
+    fn wake_when_cool(&mut self, ctx: &mut Context<'_, Ev>, lane: usize, now: SimTime) {
+        let Some(tcfg) = self.thermal else {
+            return;
+        };
+        let Some(at) = self.temps[lane].cools_below(&tcfg, tcfg.release_at_c(), now) else {
+            return;
+        };
+        if at > now && self.cool_wake[lane] != Some(at) {
+            self.cool_wake[lane] = Some(at);
+            ctx.send_in(at - now, ctx.self_id(), Ev::Cooled { lane });
         }
     }
 
@@ -900,6 +937,44 @@ mod tests {
             m.completions.iter().any(|c| c.throttled && c.volts < 1.0),
             "throttling must demote the operating point, not just the clock"
         );
+    }
+
+    #[test]
+    fn a_lane_refused_by_the_thermal_governor_wakes_when_it_cools() {
+        // A region so thermally resistive that its sustainable draw
+        // (1 mW) funds no operating point: every throttled plan fails,
+        // and only an unthrottled dispatch from a cool enough node runs.
+        let tcfg = ThermalConfig {
+            r_c_per_w: 40_000.0,
+            c_j_per_c: 1.25e-5,
+            ..ThermalConfig::default()
+        };
+        let service = Service::new(
+            two_region_catalog(),
+            ServiceConfig {
+                queue_capacity: 64,
+                thermal: Some(tcfg),
+                ..ServiceConfig::default()
+            },
+        );
+        // One burst, then silence: once the lane heats into throttling,
+        // no later arrival or completion re-plans it.
+        let reqs: Vec<ReconfigRequest> = (0..24u64)
+            .map(|i| ReconfigRequest {
+                id: RequestId(i),
+                bitstream: BitstreamId(1 + (i % 2) as u32),
+                region: RegionId(0),
+                arrival: SimTime::from_ns(i * 100),
+                deadline: None,
+                priority: Priority::Normal,
+                energy_budget_uj: None,
+            })
+            .collect();
+        let m = service.run(&reqs);
+        assert_eq!(m.unserved, 0, "queued requests stranded after cool-down");
+        assert_eq!(m.completions.len(), reqs.len());
+        assert_eq!(m.overtemp_dispatches, 0);
+        assert!(m.peak_temp_c <= tcfg.limit_c + 1e-9);
     }
 
     #[test]

@@ -127,6 +127,32 @@ impl LaneTemp {
         cfg.step_c(self.temp_c, 0.0, dt)
     }
 
+    /// The first instant at or after `from` at which idle decay has
+    /// brought the node strictly below `target_c`, or `None` if it never
+    /// gets there (a target at or below ambient).
+    #[must_use]
+    pub(crate) fn cools_below(
+        &self,
+        cfg: &ThermalConfig,
+        target_c: f64,
+        from: SimTime,
+    ) -> Option<SimTime> {
+        if self.temp_at(cfg, from) < target_c {
+            return Some(from);
+        }
+        if target_c <= cfg.ambient_c {
+            return None;
+        }
+        // T(t) = ambient + (T₀ − ambient)·exp(−(t − at)/τ), solved for
+        // T(t) = target and nudged past rounding onto the cool side.
+        let excess = (self.temp_c - cfg.ambient_c) / (target_c - cfg.ambient_c);
+        let mut at = self.at + SimTime::from_secs_f64(cfg.tau_s() * excess.ln());
+        while self.temp_at(cfg, at) >= target_c {
+            at += SimTime::from_ns(1);
+        }
+        Some(at.max(from))
+    }
+
     /// Applies one dispatch: decay to `start`, then drive at `power_w`
     /// until `end`. Returns the temperature at `end`.
     pub fn apply(
@@ -175,6 +201,25 @@ mod tests {
             SimTime::MAX,
         );
         assert!(held <= cfg.limit_c);
+    }
+
+    #[test]
+    fn cools_below_finds_the_first_cool_instant() {
+        let cfg = ThermalConfig::default();
+        let mut node = LaneTemp::new(&cfg);
+        let end = SimTime::from_ms(10);
+        let hot = node.apply(&cfg, SimTime::ZERO, end, 0.49);
+        let target = cfg.release_at_c();
+        assert!(hot > target, "the dispatch must heat past the target");
+        let at = node
+            .cools_below(&cfg, target, end)
+            .expect("cools above ambient");
+        assert!(node.temp_at(&cfg, at) < target);
+        assert!(node.temp_at(&cfg, at - SimTime::from_ns(2)) >= target);
+        // Already cool: the query instant itself; never: at ambient.
+        let later = at + SimTime::from_us(5);
+        assert_eq!(node.cools_below(&cfg, target, later), Some(later));
+        assert_eq!(node.cools_below(&cfg, cfg.ambient_c, end), None);
     }
 
     #[test]

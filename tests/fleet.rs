@@ -5,7 +5,10 @@
 //! and the chaos layer (chip loss, failover accounting, power
 //! emergencies, graceful degradation).
 
+use std::collections::BTreeMap;
+
 use uparc_repro::core::policy::{PlanQuery, PowerAwarePolicy};
+use uparc_repro::fleet::chip::fold_image;
 use uparc_repro::fleet::{
     synthetic_catalog, ChaosSpec, EmergencyWindow, Fleet, FleetConfig, FleetWorkloadSpec,
     HealthConfig, PlanTables, RoutePolicy,
@@ -137,6 +140,50 @@ fn locality_routing_beats_random_on_hit_rate() {
     );
     assert_eq!(locality.cap_violations, 0);
     assert_eq!(random.cap_violations, 0);
+}
+
+/// The fleet checksum is the XOR, over every served request, of the fold
+/// of its image decompressed afresh from the staged payload. The
+/// expectation is rebuilt from the catalog alone — not from the
+/// setup-time folds `PlanTables` records — so a hit path that XORs a
+/// wrong fold, or skips one, cannot pass under either routing policy.
+#[test]
+fn checksum_witnesses_every_served_image() {
+    let catalog = synthetic_catalog(24, 12, 29);
+    let spec = small_spec(3000);
+    let codec = catalog.algorithm().codec();
+    let mut folds: BTreeMap<BitstreamId, u64> = BTreeMap::new();
+    let mut want = 0u64;
+    for req in spec.generate(&catalog.ids()) {
+        want ^= *folds.entry(req.bitstream).or_insert_with(|| {
+            let packed = catalog
+                .entry(req.bitstream)
+                .and_then(|e| e.packed_bytes())
+                .expect("synthetic catalog stages every image compressed");
+            fold_image(&codec.decompress(packed).expect("payload round-trips"))
+        });
+    }
+    assert_ne!(want, 0);
+    for route in [
+        RoutePolicy::Locality {
+            spill_window: SimTime::from_us(5),
+        },
+        RoutePolicy::Random { seed: 99 },
+    ] {
+        let out = Fleet::new(catalog.clone(), small_config(8, route))
+            .unwrap()
+            .run(&spec)
+            .unwrap();
+        assert_eq!(out.completed, spec.requests, "{route:?}");
+        assert!(
+            out.hits > 0 && out.misses > 0,
+            "{route:?} must hit and miss"
+        );
+        assert_eq!(
+            out.checksum, want,
+            "{route:?}: checksum is not the served-image witness"
+        );
+    }
 }
 
 /// The calibrated table's cap-constrained selection picks the same
